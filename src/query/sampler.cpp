@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <numeric>
 #include <optional>
 
 #include "common/error.hpp"
@@ -48,6 +49,33 @@ struct Sampler::Impl {
     steps[k]->run(theta, caps, *backend, std::span<cplx>(buf, 2));
     out[0] = std::max(0.0, buf[0].real());
     out[1] = std::max(0.0, buf[1].real());
+  }
+
+  /// Prefix-tree node (k, prefix): `shots` holds the shots whose first k
+  /// drawn bits (qubits n-1 .. n-k) equal `prefix`, and residue[s] is shot
+  /// s's uniform minus the CDF mass of every prefix below it. One step-k
+  /// contraction serves all of them; each shot then makes the same compare
+  /// and subtract against the joint marginal as a per-shot walk would, so
+  /// the draws are bit-identical while each distinct prefix contracts once.
+  void descend(std::size_t k, std::size_t prefix,
+               std::span<const double> theta, std::span<std::size_t> shots,
+               std::vector<double>& residue, std::vector<std::size_t>& out,
+               std::vector<int>& caps) const {
+    if (shots.empty()) return;
+    if (k == n) {
+      for (const std::size_t s : shots) out[s] = prefix;
+      return;
+    }
+    double m[2];
+    step_marginal(k, theta, prefix, caps, m);
+    const auto ones = std::partition(
+        shots.begin(), shots.end(),
+        [&](std::size_t s) { return residue[s] < m[0]; });
+    const auto split = static_cast<std::size_t>(ones - shots.begin());
+    for (auto it = ones; it != shots.end(); ++it) residue[*it] -= m[0];
+    descend(k + 1, prefix, theta, shots.first(split), residue, out, caps);
+    descend(k + 1, prefix | (std::size_t{1} << (n - 1 - k)), theta,
+            shots.subspan(split), residue, out, caps);
   }
 };
 
@@ -115,26 +143,20 @@ std::vector<std::size_t> Sampler::sample(std::span<const double> theta,
     }
     return out;
   }
-  // Tensor-network engine: walk qubits MSB-first, choosing each bit from
-  // its JOINT marginal with the subtractive residue. This reproduces the
+  // Tensor-network engine: choose bits MSB-first, each from its JOINT
+  // marginal with the subtractive residue. This reproduces the
   // ascending-index inverse CDF exactly: after fixing a prefix, the residue
   // r lies in [0, p(prefix)) and p(prefix, next=0) splits that interval the
-  // same way the flat CDF does.
+  // same way the flat CDF does. The uniforms are drawn up front in shot
+  // order, then all shots descend the prefix tree together.
+  std::vector<double> residue(shots);
+  for (double& r : residue) r = rng.uniform();
+  std::vector<std::size_t> order(shots);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  out.resize(shots);
   std::vector<int> caps;
   caps.reserve(impl_->n);
-  for (std::size_t s = 0; s < shots; ++s) {
-    double r = rng.uniform();
-    std::size_t idx = 0;
-    for (std::size_t k = 0; k < impl_->n; ++k) {
-      const std::size_t q = impl_->n - 1 - k;
-      double m[2];
-      impl_->step_marginal(k, theta, idx, caps, m);
-      if (r < m[0]) continue;  // bit stays 0
-      r -= m[0];
-      idx |= std::size_t{1} << q;
-    }
-    out.push_back(idx);
-  }
+  impl_->descend(0, 0, theta, order, residue, out, caps);
   return out;
 }
 

@@ -7,7 +7,10 @@
 // with the already-drawn prefix fixed by rebindable projector caps
 // (qtensor::measure_query_network, WireRole::Fix + Diagonal). All n
 // per-qubit marginal programs are compiled once per Sampler through the
-// shared planner / plan cache and replayed per shot.
+// shared planner / plan cache. One sample() call walks a prefix tree over
+// all its shots: each distinct drawn prefix replays its step's program
+// once, so a call contracts at most sum_k min(2^k, shots) marginals
+// instead of n x shots.
 //
 // Both engines consume exactly ONE rng.uniform() per shot and map it
 // through the same ascending-index inverse CDF (the subtractive scheme of

@@ -87,8 +87,12 @@ std::optional<qaoa::ObjectiveSpec> objective_spec_from_json(
     QARCH_REQUIRE(spec.alpha > 0.0 && spec.alpha <= 1.0,
                   "\"cvar_alpha\" must be in (0, 1]");
   }
-  if (body.contains("objective_shots"))
+  if (body.contains("objective_shots")) {
     spec.shots = as_uint(body.at("objective_shots"), "\"objective_shots\"");
+    QARCH_REQUIRE(spec.shots <= kMaxShots,
+                  "\"objective_shots\" must be at most " +
+                      std::to_string(kMaxShots));
+  }
   return spec;
 }
 
@@ -461,8 +465,9 @@ struct QarchServer::Impl {
     const std::size_t p = require_uint(body, "p");
     QARCH_REQUIRE(p >= 1, "\"p\" must be at least 1");
     const std::size_t shots = require_uint(body, "shots");
-    QARCH_REQUIRE(shots >= 1 && shots <= 1000000,
-                  "\"shots\" must be in [1, 1000000]");
+    QARCH_REQUIRE(shots >= 1 && shots <= kMaxShots,
+                  "\"shots\" must be in [1, " + std::to_string(kMaxShots) +
+                      "]");
     const std::uint64_t seed =
         body.contains("seed") ? as_uint(body.at("seed"), "\"seed\"") : 0;
 

@@ -57,6 +57,10 @@
 
 namespace qarch::server {
 
+/// Upper bound on the shots one request may ask a worker to draw: "shots"
+/// on /v1/sample and "objective_shots" on /v1/submit.
+inline constexpr std::size_t kMaxShots = 1000000;
+
 /// One authenticated tenant of the daemon. Zero-valued limit fields inherit
 /// the SessionConfig::server_* defaults; a fully zero spec (beyond name/key)
 /// is an unlimited weight-1 tenant.

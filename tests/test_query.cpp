@@ -1,10 +1,11 @@
 // The compiled query subsystem (src/query): amplitude programs vs the
 // statevector and the legacy one-shot qtensor path, batched amplitude
 // slices, reduced-density-matrix marginals, direct tensor-network sampling
-// (determinism per seed, agreement in distribution with the statevector
-// engine), and the shared-plan-cache warm-replay probe.
+// (a golden draw stream, determinism per seed, agreement in distribution
+// with the statevector engine), and the shared-plan-cache warm-replay probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -289,6 +290,88 @@ TEST(Sampler, EnginesAgreeInDistribution) {
   // 4000 draws over 32 outcomes: TV distance ~ O(sqrt(32/4000)) ~ 0.045;
   // 0.1 gives a comfortable deterministic-seed margin.
   EXPECT_LT(tv, 0.1);
+}
+
+// Golden TN draw stream: what a per-shot marginal walk (every qubit's
+// marginal contracted for every shot) draws. 512 shots over 8 qubits hit
+// only 169 distinct outcomes, so prefixes repeat heavily and the prefix
+// tree shares most contractions; it must still match bit for bit.
+TEST(Sampler, TensorNetworkDrawsMatchGoldenStream) {
+  Rng rng(808);
+  const graph::Graph g = graph::random_regular(8, 3, rng);
+  const circuit::Circuit ansatz =
+      qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx"));
+  const auto theta = random_theta(ansatz.num_params(), rng);
+  const query::Sampler tn(ansatz, tn_sampler_options("serial"));
+  const std::vector<std::size_t> golden = {
+      27, 179, 35, 51, 178, 82, 108, 84, 141, 23, 168, 221, 212, 105, 178, 61,
+      22, 153, 194, 108, 152, 92, 68, 110, 120, 5, 131, 81, 133, 146, 234, 131,
+      45, 45, 204, 204, 27, 170, 78, 232, 211, 145, 45, 85, 100, 108, 172, 102,
+      212, 109, 104, 115, 19, 168, 206, 107, 148, 105, 170, 13, 49, 29, 134,
+      228, 216, 151, 56, 232, 204, 83, 23, 58, 174, 124, 143, 147, 101, 147, 23,
+      85, 212, 56, 111, 179, 163, 179, 140, 85, 39, 118, 43, 92, 56, 19, 30,
+      141, 235, 115, 148, 92, 210, 106, 34, 51, 154, 205, 146, 39, 104, 56, 142,
+      168, 106, 212, 210, 105, 103, 101, 73, 73, 29, 59, 99, 45, 235, 145, 147,
+      73, 120, 233, 131, 109, 230, 185, 159, 133, 18, 227, 112, 135, 212, 176,
+      45, 103, 76, 56, 51, 27, 147, 93, 204, 114, 200, 226, 63, 99, 77, 90, 163,
+      150, 120, 21, 199, 54, 132, 135, 153, 42, 76, 82, 114, 216, 12, 232, 236,
+      86, 165, 110, 172, 138, 142, 98, 76, 109, 111, 165, 89, 163, 104, 45, 123,
+      150, 15, 115, 160, 76, 50, 76, 51, 216, 204, 218, 154, 81, 147, 212, 220,
+      151, 69, 212, 19, 83, 77, 102, 248, 115, 108, 60, 51, 213, 101, 11, 76,
+      112, 152, 19, 123, 142, 84, 39, 151, 39, 139, 23, 114, 149, 208, 18, 225,
+      59, 112, 109, 135, 198, 147, 220, 157, 37, 109, 95, 154, 170, 103, 196,
+      220, 99, 212, 45, 81, 160, 12, 234, 150, 39, 108, 160, 108, 232, 178, 104,
+      244, 170, 173, 76, 147, 69, 155, 84, 133, 170, 160, 19, 240, 43, 29, 238,
+      88, 165, 23, 114, 184, 117, 34, 82, 123, 126, 35, 165, 39, 108, 246, 186,
+      140, 53, 133, 40, 99, 85, 173, 117, 115, 51, 220, 49, 46, 213, 85, 156,
+      232, 78, 153, 158, 19, 135, 110, 213, 184, 155, 221, 170, 117, 99, 204,
+      207, 226, 39, 47, 87, 71, 92, 83, 187, 101, 104, 108, 127, 186, 152, 232,
+      103, 37, 214, 187, 51, 93, 160, 218, 126, 106, 208, 48, 210, 163, 149,
+      113, 76, 210, 33, 138, 80, 254, 167, 85, 140, 121, 179, 57, 146, 39, 45,
+      150, 101, 135, 167, 54, 49, 186, 206, 78, 134, 51, 39, 13, 103, 172, 120,
+      156, 43, 115, 141, 142, 108, 177, 236, 142, 120, 109, 120, 172, 104, 173,
+      163, 35, 146, 156, 99, 157, 168, 85, 88, 103, 81, 218, 141, 99, 168, 47,
+      218, 93, 145, 81, 242, 204, 30, 142, 146, 45, 154, 171, 106, 146, 229,
+      135, 108, 152, 114, 140, 171, 99, 113, 168, 152, 104, 13, 163, 135, 95,
+      74, 23, 218, 147, 109, 220, 43, 204, 114, 151, 103, 170, 108, 21, 87, 27,
+      115, 92, 220, 106, 114, 42, 135, 170, 142, 109, 110, 46, 113, 161, 108,
+      148, 155, 158, 19, 146, 59, 98, 110, 175, 147, 242, 133, 243, 172, 248,
+      103, 99, 113, 115, 179, 132, 173, 156, 200};
+  ASSERT_EQ(golden.size(), 512U);
+
+  Rng draw(2024);
+  EXPECT_EQ(tn.sample(theta, golden.size(), draw), golden);
+  // Exactly one uniform per shot: the caller's stream continues where
+  // `shots` plain uniforms would leave it.
+  Rng expect(2024);
+  for (std::size_t s = 0; s < golden.size(); ++s) (void)expect.uniform();
+  EXPECT_EQ(draw.state().words, expect.state().words);
+
+  // shots = 0 draws nothing and leaves the stream untouched.
+  Rng none(2024);
+  EXPECT_TRUE(tn.sample(theta, 0, none).empty());
+  EXPECT_EQ(none.state().words, Rng(2024).state().words);
+
+  // shots = 1 is the first draw of the same seed.
+  Rng one(2024);
+  EXPECT_EQ(tn.sample(theta, 1, one), std::vector<std::size_t>{golden[0]});
+}
+
+TEST(Sampler, SingleQubitTensorNetworkMatchesStatevector) {
+  circuit::Circuit ansatz(1, 1);
+  ansatz.ry(0, circuit::ParamExpr::symbol(0));
+  const std::vector<double> theta = {0.7};
+  const query::Sampler tn(ansatz, tn_sampler_options("serial"));
+  const query::Sampler sv(ansatz, query::SamplerOptions{});
+  EXPECT_NEAR(tn.probability(theta, 0), sv.probability(theta, 0), 1e-12);
+
+  Rng r1(31), r2(31);
+  const auto a = tn.sample(theta, 200, r1);
+  const auto b = sv.sample(theta, 200, r2);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(r1.state().words, r2.state().words);
+  EXPECT_NE(std::count(a.begin(), a.end(), 0U), 0);
+  EXPECT_NE(std::count(a.begin(), a.end(), 1U), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -431,6 +431,9 @@ TEST(QarchServer, SampleRejectsMalformedRequests) {
   json::Value no_shots = json::parse(body.dump());
   no_shots.set("shots", 0);
   EXPECT_EQ(api_status(alice, "POST", "/v1/sample", no_shots.dump()), 400);
+  json::Value too_many = json::parse(body.dump());
+  too_many.set("shots", static_cast<double>(server::kMaxShots + 1));
+  EXPECT_EQ(api_status(alice, "POST", "/v1/sample", too_many.dump()), 400);
 }
 
 TEST(QarchServer, ObjectiveSubmitMatchesDirectServiceBitForBit) {
@@ -478,6 +481,13 @@ TEST(QarchServer, ObjectiveSubmitMatchesDirectServiceBitForBit) {
   json::Value orphan_ham = QarchClient::submit_body(g, "rx", 1);
   orphan_ham.set("mis_penalty", 2.0);
   EXPECT_EQ(api_status(alice, "POST", "/v1/submit", orphan_ham.dump()), 400);
+  // objective_shots shares /v1/sample's bound: a worker must never be asked
+  // to reserve an arbitrary number of draws.
+  json::Value huge_shots = QarchClient::submit_body(g, "rx", 1);
+  huge_shots.set("objective", "cvar");
+  huge_shots.set("objective_shots",
+                 static_cast<double>(server::kMaxShots + 1));
+  EXPECT_EQ(api_status(alice, "POST", "/v1/submit", huge_shots.dump()), 400);
 }
 
 TEST(QarchClient, KeepAliveReusesOneConnectionAndSurvivesRestart) {
