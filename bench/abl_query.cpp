@@ -3,9 +3,8 @@
 // Two comparisons on one QAOA ansatz:
 //
 //   1. AMPLITUDES — a query::AmplitudeProgram compiled once and replayed per
-//      (theta, bits) vs the legacy one-shot path (QTensorSimulator with
-//      compile_programs=false: network rebuilt and order re-planned every
-//      amplitude call). The replay also proves the plan-cache contract: the
+//      (theta, bits) vs the one-shot QTensorSimulator (network rebuilt and
+//      order re-planned every amplitude call). The replay also proves the plan-cache contract: the
 //      second program built on the same shape compiles with ZERO planner
 //      invocations.
 //   2. SAMPLING — query::Sampler on both engines drawing the same seeded
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   std::printf("query ablation: %zu qubits, %zu-regular, p=%zu\n\n", n, degree,
               p);
 
-  // -- 1. amplitudes: compiled replay vs the legacy one-shot path -----------
+  // -- 1. amplitudes: compiled replay vs the one-shot path -------------------
   std::vector<std::vector<int>> queries(amps, std::vector<int>(n));
   for (auto& bits : queries)
     for (int& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
@@ -74,9 +73,7 @@ int main(int argc, char** argv) {
     checksum += program.amplitude(theta, bits, backend);
   const double replay_ms = t_replay.millis();
 
-  qtensor::QTensorOptions legacy_opts;
-  legacy_opts.compile_programs = false;  // rebuild + re-plan every call
-  const qtensor::QTensorSimulator legacy(legacy_opts);
+  const qtensor::QTensorSimulator legacy;  // rebuild + re-plan every call
   Timer t_legacy;
   qtensor::cplx legacy_checksum{0.0, 0.0};
   for (const auto& bits : queries)

@@ -94,21 +94,16 @@ inline std::vector<qaoa::MixerSpec> candidate_subsample(
 
 /// Times one full candidate sweep through search::Evaluator — serially or
 /// fanned out over a TaskPool — under the two-level (outer candidate
-/// workers x inner simulator threads) split and the compiled-path toggle the
-/// fig4/fig5 scaling harnesses sweep. One definition so both figures always
-/// measure the same configuration.
+/// workers x inner simulator threads) split the fig4/fig5 scaling harnesses
+/// sweep. One definition so both figures always measure the same
+/// configuration.
 inline double timed_candidate_search(
     const graph::Graph& g, const std::vector<qaoa::MixerSpec>& candidates,
     std::size_t p, std::size_t outer_workers, std::size_t inner_workers,
-    bool compiled, qaoa::EngineKind engine) {
+    qaoa::EngineKind engine) {
   search::EvaluatorOptions opt;
   opt.energy.engine = engine;
   opt.energy.inner_workers = inner_workers;
-  opt.energy.sv_compile_plan = compiled;
-  opt.energy.sv_batch_expectations = compiled;
-  // compiled=false means the PRE-compilation legacy path: scalar per-gate
-  // kernels, matching abl_diagonal_gates' "generic" baseline.
-  opt.energy.sv_plan.simd = compiled;
   opt.cobyla.max_evals = 200;
   const search::Evaluator evaluator(g, opt);
 

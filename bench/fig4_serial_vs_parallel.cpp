@@ -8,10 +8,10 @@
 // Expected shape: serial time grows superlinearly with p; parallel cuts it
 // by well over 50% at the larger depths.
 //
-// Every configuration now exercises the COMPILED statevector path (plan
-// compiled once per candidate, reused across all optimizer steps) alongside
-// the legacy per-gate path, and the parallel row runs the two-level scheme
-// with --inner simulator threads per candidate (inner_workers > 1).
+// Every configuration runs the compiled engines (plan compiled once per
+// candidate, reused across all optimizer steps), and the parallel row runs
+// the two-level scheme with --inner simulator threads per candidate
+// (inner_workers > 1).
 //
 // Flags: bench_util standards plus --pmax (4) --inner (2)
 #include <thread>
@@ -44,46 +44,37 @@ int main(int argc, char** argv) {
 
   Rng rng(cfg.seed);
   std::vector<std::vector<double>> csv_rows;
-  Series serial_pergate_series{"serial per-gate", {}, {}};
   Series serial_compiled_series{"serial compiled", {}, {}};
   Series parallel_series{"parallel compiled", {}, {}};
 
-  std::printf("%-4s %-16s %-16s %-18s %-10s\n", "p", "serial/pergate",
-              "serial/compiled", "parallel/compiled", "speedup");
+  std::printf("%-4s %-16s %-18s %-10s\n", "p", "serial/compiled",
+              "parallel/compiled", "speedup");
   for (std::size_t p = 1; p <= p_max; ++p) {
-    std::vector<double> pergate_times, compiled_times, parallel_times;
+    std::vector<double> compiled_times, parallel_times;
     for (std::size_t run = 0; run < runs; ++run) {
       const graph::Graph g = graph::erdos_renyi_connected(
           10, rng.uniform(0.3, 0.7), rng);
-      pergate_times.push_back(
-          bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/false, cfg.engine));
       compiled_times.push_back(
-          bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/true, cfg.engine));
+          bench::timed_candidate_search(g, candidates, p, 1, 1, cfg.engine));
       // Two-level: outer candidate workers x inner simulator threads.
-      parallel_times.push_back(bench::timed_candidate_search(g, candidates, p, outer, inner,
-                                          /*compiled=*/true, cfg.engine));
+      parallel_times.push_back(bench::timed_candidate_search(
+          g, candidates, p, outer, inner, cfg.engine));
     }
-    const double sp = mean(pergate_times), sc = mean(compiled_times),
-                 q = mean(parallel_times);
-    std::printf("%-4zu %-16.3f %-16.3f %-18.3f %-10.2fx\n", p, sp, sc, q,
-                sp / q);
-    serial_pergate_series.x.push_back(static_cast<double>(p));
-    serial_pergate_series.y.push_back(sp);
+    const double sc = mean(compiled_times), q = mean(parallel_times);
+    std::printf("%-4zu %-16.3f %-18.3f %-10.2fx\n", p, sc, q, sc / q);
     serial_compiled_series.x.push_back(static_cast<double>(p));
     serial_compiled_series.y.push_back(sc);
     parallel_series.x.push_back(static_cast<double>(p));
     parallel_series.y.push_back(q);
-    csv_rows.push_back({static_cast<double>(p), sp, sc, q});
+    csv_rows.push_back({static_cast<double>(p), sc, q});
   }
 
   AsciiPlot plot("Fig 4: time to simulate vs p", "p", "seconds");
-  plot.add(serial_pergate_series);
   plot.add(serial_compiled_series);
   plot.add(parallel_series);
   std::printf("\n%s\n", plot.render().c_str());
   bench::maybe_csv(cfg.csv_path,
-                   {"p", "serial_pergate_s", "serial_compiled_s",
-                    "parallel_compiled_s"},
+                   {"p", "serial_compiled_s", "parallel_compiled_s"},
                    csv_rows);
   return 0;
 }

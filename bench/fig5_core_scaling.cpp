@@ -7,9 +7,8 @@
 // core count extra workers stop helping — our host has fewer than 64 cores,
 // which the output records, mirroring the paper's flattening tail).
 //
-// Both the legacy per-gate path and the compiled-plan path are timed at
-// every sweep point, and the compiled run splits each budget two-level as
-// (cores / inner) candidate workers x --inner simulator threads, exercising
+// Every sweep point splits its budget two-level as (cores / inner)
+// candidate workers x --inner simulator threads, exercising
 // inner_workers > 1 on the compiled kernels.
 //
 // Flags: bench_util standards plus --p (2) --inner (2)
@@ -38,48 +37,36 @@ int main(int argc, char** argv) {
               g.to_string().c_str(), candidates.size(), p,
               std::thread::hardware_concurrency(), inner);
 
-  const double serial_pergate =
-      bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/false, cfg.engine);
   const double serial_compiled =
-      bench::timed_candidate_search(g, candidates, p, 1, 1, /*compiled=*/true, cfg.engine);
-  std::printf("serial baselines: per-gate %.3fs, compiled %.3fs "
-              "(dashed lines)\n\n",
-              serial_pergate, serial_compiled);
-  std::printf("%-8s %-14s %-20s %-12s\n", "cores", "per-gate (s)",
-              "compiled 2-level (s)", "vs serial");
+      bench::timed_candidate_search(g, candidates, p, 1, 1, cfg.engine);
+  std::printf("serial baseline: %.3fs (dashed line)\n\n", serial_compiled);
+  std::printf("%-8s %-20s %-12s\n", "cores", "compiled 2-level (s)",
+              "vs serial");
 
-  Series pergate_series{"per-gate parallel", {}, {}};
   Series compiled_series{"compiled two-level", {}, {}};
   Series serial_series{"serial compiled (baseline)", {}, {}};
   std::vector<std::vector<double>> csv_rows;
   for (std::size_t cores = 8; cores <= 64; cores += 8) {
-    const double t_pergate =
-        bench::timed_candidate_search(g, candidates, p, cores, 1, /*compiled=*/false,
-                     cfg.engine);
-    // Same core budget split two-level: candidates x simulator threads.
-    const double t_compiled =
-        bench::timed_candidate_search(g, candidates, p, std::max<std::size_t>(1, cores / inner),
-                     inner, /*compiled=*/true, cfg.engine);
-    std::printf("%-8zu %-14.3f %-20.3f %-12.2fx\n", cores, t_pergate,
-                t_compiled, serial_compiled / t_compiled);
-    pergate_series.x.push_back(static_cast<double>(cores));
-    pergate_series.y.push_back(t_pergate);
+    // The core budget split two-level: candidates x simulator threads.
+    const double t_compiled = bench::timed_candidate_search(
+        g, candidates, p, std::max<std::size_t>(1, cores / inner), inner,
+        cfg.engine);
+    std::printf("%-8zu %-20.3f %-12.2fx\n", cores, t_compiled,
+                serial_compiled / t_compiled);
     compiled_series.x.push_back(static_cast<double>(cores));
     compiled_series.y.push_back(t_compiled);
     serial_series.x.push_back(static_cast<double>(cores));
     serial_series.y.push_back(serial_compiled);
     csv_rows.push_back(
-        {static_cast<double>(cores), t_pergate, t_compiled, serial_compiled});
+        {static_cast<double>(cores), t_compiled, serial_compiled});
   }
 
   AsciiPlot plot("Fig 5: time to simulate vs cores (p=2)", "cores", "seconds");
-  plot.add(pergate_series);
   plot.add(compiled_series);
   plot.add(serial_series);
   std::printf("\n%s\n", plot.render().c_str());
   bench::maybe_csv(cfg.csv_path,
-                   {"cores", "pergate_parallel_s", "compiled_twolevel_s",
-                    "serial_compiled_s"},
+                   {"cores", "compiled_twolevel_s", "serial_compiled_s"},
                    csv_rows);
   return 0;
 }

@@ -99,8 +99,9 @@ void escape_into(std::string& out, const std::string& s) {
 }
 
 void number_into(std::string& out, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // Range check first: converting a double outside long long's range (or a
+  // NaN) is undefined behaviour, so only small integral values are cast.
+  if (std::abs(v) < 1e15 && v == std::floor(v)) {
     out += std::to_string(static_cast<long long>(v));
     return;
   }

@@ -44,19 +44,12 @@ struct EnergyOptions {
   /// is the inner level of the paper's two-level scheme; the outer level
   /// (concurrent candidates) lives in parallel::TaskPool.
   std::size_t inner_workers = 1;
-  /// Compile each ansatz into a sim::SimProgram (specialized kernels,
-  /// fusion, per-theta scalar rebinds). false → the legacy per-gate
-  /// StatevectorSimulator::apply path (the ablation baseline).
-  bool sv_compile_plan = true;
-  /// Read all <Z_u Z_v> off the final state in ONE sweep
-  /// (sim::batched_expectation_zz). false → one state pass per edge.
-  bool sv_batch_expectations = true;
   /// Statevector compiled-plan kernel toggles (diagonal kernels, fusion,
   /// phase tables, SIMD, cache blocking) — see sim::PlanOptions.
   sim::PlanOptions sv_plan;
   /// Tensor-network engine configuration: compiled contraction programs
-  /// (compile_programs, planner, slicing) and the bucket-product backend —
-  /// see qtensor::QTensorOptions.
+  /// (planner, slicing, plan cache) and the bucket-product backend — see
+  /// qtensor::QTensorOptions.
   qtensor::QTensorOptions qtensor;
   /// Capacity of the evaluator's ansatz→plan LRU cache used by plan_for()
   /// (0 disables caching: every plan_for call compiles fresh).
@@ -65,7 +58,7 @@ struct EnergyOptions {
 
 /// Compile-time facts about one plan (probed by tests and benches).
 /// `compiled_programs`/`distinct_shapes` are tensor-network-plan notions;
-/// both stay 0 for statevector plans and the legacy uncompiled path.
+/// both stay 0 for statevector plans.
 struct EnergyPlanInfo {
   std::size_t terms = 0;              ///< Hamiltonian terms served
   std::size_t compiled_programs = 0;  ///< ContractionPrograms actually built

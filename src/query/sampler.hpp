@@ -48,8 +48,8 @@ struct SamplerOptions {
   /// Tensor-network engine: compile config for the per-qubit marginal
   /// programs (planner, plan cache, lightcone toggles).
   QueryOptions query;
-  /// Tensor-network engine: contraction backend spec ("serial",
-  /// "parallel[:N]").
+  /// Tensor-network engine: contraction backend spec (qtensor::make_backend;
+  /// "serial" is the only one).
   std::string tn_backend = "serial";
   /// Statevector engine: compile config and replay workers.
   sim::PlanOptions sv_plan;

@@ -113,6 +113,18 @@ struct TicketHandle {
   double submitted_at = 0.0;  ///< service-clock time of THIS submission
 };
 
+/// A job's position in its client queue: (priority, seq).
+using JobKey = std::pair<int, std::uint64_t>;
+
+/// Queue order: higher priority first, FIFO (lower seq) among equals. The
+/// priorities are compared as they are, never negated, so the whole int
+/// range (INT_MIN included) orders correctly.
+struct JobOrder {
+  bool operator()(const JobKey& a, const JobKey& b) const {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  }
+};
+
 /// Everything the workers and tickets share. Owned jointly by the service,
 /// the in-flight worker tasks, and every outstanding job, so destruction
 /// order never dangles.
@@ -184,8 +196,8 @@ struct ServiceState {
     double weight = 1.0;
     double deficit = 0.0;    ///< budget units this queue may spend
     bool closed = false;     ///< handle destroyed; reclaim once drained
-    // (−priority, seq) → job: pop order is priority desc, FIFO among equals.
-    std::map<std::pair<int, std::uint64_t>, std::shared_ptr<EvalJob>> jobs;
+    // (priority, seq) → job: pop order is priority desc, FIFO among equals.
+    std::map<JobKey, std::shared_ptr<EvalJob>, JobOrder> jobs;
   };
   std::unordered_map<std::size_t, ClientQueue> clients
       QARCH_GUARDED_BY(mutex);
@@ -469,7 +481,7 @@ void enqueue_job(ServiceState& state, const std::shared_ptr<EvalJob>& job)
     QARCH_REQUIRES(state.mutex) {
   ServiceState::ClientQueue& queue = state.clients[job->client_id];
   const bool was_empty = queue.jobs.empty();
-  queue.jobs.emplace(std::make_pair(-job->priority, job->seq), job);
+  queue.jobs.emplace(JobKey{job->priority, job->seq}, job);
   if (was_empty) state.rr_order.push_back(job->client_id);
 }
 
@@ -610,7 +622,7 @@ void finish_cancelled(ServiceState& state,
     // when a drainer already popped it — run_job rechecks the status).
     const auto cit = state.clients.find(job->client_id);
     if (cit != state.clients.end()) {
-      cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
+      cit->second.jobs.erase(JobKey{job->priority, job->seq});
       if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
     }
   }
@@ -633,7 +645,7 @@ void finish_expired(ServiceState& state,
     state.checkpoints.erase(job->key);
     const auto cit = state.clients.find(job->client_id);
     if (cit != state.clients.end()) {
-      cit->second.jobs.erase(std::make_pair(-job->priority, job->seq));
+      cit->second.jobs.erase(JobKey{job->priority, job->seq});
       if (cit->second.jobs.empty()) deactivate_client(state, job->client_id);
     }
   }

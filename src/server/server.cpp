@@ -53,6 +53,25 @@ std::size_t require_uint(const json::Value& body, const std::string& key) {
   return as_uint(body.at(key), "\"" + key + "\"");
 }
 
+/// A JSON number that must be an integer in [-bound, bound]. Checked as a
+/// double before the conversion, so a huge or fractional value is a 400,
+/// never a float-to-int overflow or a silent truncation.
+int as_bounded_int(const json::Value& v, const std::string& what, int bound) {
+  const double d = v.as_number();
+  QARCH_REQUIRE(d == std::floor(d) && std::abs(d) <= bound,
+                what + " must be an integer in [-" + std::to_string(bound) +
+                    ", " + std::to_string(bound) + "]");
+  return static_cast<int>(d);
+}
+
+/// The QAOA depth "p": an integer in [1, kMaxDepth].
+std::size_t require_depth(const json::Value& body) {
+  const std::size_t p = require_uint(body, "p");
+  QARCH_REQUIRE(p >= 1 && p <= kMaxDepth,
+                "\"p\" must be in [1, " + std::to_string(kMaxDepth) + "]");
+  return p;
+}
+
 HttpResponse json_response(int status, const json::Value& body) {
   HttpResponse resp;
   resp.status = status;
@@ -372,8 +391,7 @@ struct QarchServer::Impl {
     QARCH_REQUIRE(body.contains("mixer"), "submit body is missing \"mixer\"");
     const qaoa::MixerSpec mixer =
         qaoa::MixerSpec::parse(body.at("mixer").as_string());
-    const std::size_t p = require_uint(body, "p");
-    QARCH_REQUIRE(p >= 1, "\"p\" must be at least 1");
+    const std::size_t p = require_depth(body);
 
     if (body.contains("engine")) {
       const std::string& engine = body.at("engine").as_string();
@@ -392,7 +410,8 @@ struct QarchServer::Impl {
     if (body.contains("budget"))
       options.training_evals = as_uint(body.at("budget"), "\"budget\"");
     if (body.contains("priority"))
-      options.priority = static_cast<int>(body.at("priority").as_number());
+      options.priority =
+          as_bounded_int(body.at("priority"), "\"priority\"", kMaxPriority);
     if (body.contains("deadline_ms")) {
       const double deadline_ms = body.at("deadline_ms").as_number();
       QARCH_REQUIRE(deadline_ms >= 0.0, "\"deadline_ms\" must be >= 0");
@@ -462,8 +481,7 @@ struct QarchServer::Impl {
     QARCH_REQUIRE(body.contains("mixer"), "sample body is missing \"mixer\"");
     const qaoa::MixerSpec mixer =
         qaoa::MixerSpec::parse(body.at("mixer").as_string());
-    const std::size_t p = require_uint(body, "p");
-    QARCH_REQUIRE(p >= 1, "\"p\" must be at least 1");
+    const std::size_t p = require_depth(body);
     const std::size_t shots = require_uint(body, "shots");
     QARCH_REQUIRE(shots >= 1 && shots <= kMaxShots,
                   "\"shots\" must be in [1, " + std::to_string(kMaxShots) +

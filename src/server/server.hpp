@@ -61,6 +61,14 @@ namespace qarch::server {
 /// on /v1/sample and "objective_shots" on /v1/submit.
 inline constexpr std::size_t kMaxShots = 1000000;
 
+/// Upper bound on the QAOA depth "p" of /v1/submit and /v1/sample. Checked
+/// before the ansatz is built, so a huge p cannot allocate p x |E| gates.
+inline constexpr std::size_t kMaxDepth = 64;
+
+/// Bound on the magnitude of a /v1/submit "priority": an integer in
+/// [-kMaxPriority, kMaxPriority].
+inline constexpr int kMaxPriority = 1000000;
+
 /// One authenticated tenant of the daemon. Zero-valued limit fields inherit
 /// the SessionConfig::server_* defaults; a fully zero spec (beyond name/key)
 /// is an unlimited weight-1 tenant.

@@ -35,7 +35,7 @@ namespace qarch::sim {
 /// to measure each specialization in isolation). This is the statevector
 /// half of the compiled-plan toggle surface reached through
 /// qaoa::EnergyOptions::sv_plan; the tensor-network analogue is
-/// qtensor::QTensorOptions (compile_programs / planner / slicing).
+/// qtensor::QTensorOptions (planner / slicing / plan cache).
 struct PlanOptions {
   /// Compile diagonal gates (RZ/P/Z/S/T/CZ/RZZ) to streaming phase kernels:
   /// one complex multiply per amplitude, no pair/quad index shuffling.
@@ -68,8 +68,8 @@ struct PlanOptions {
   /// The fully de-specialized configuration: per-gate dense kernels, no
   /// fusion, scalar bodies, no blocking. The compiled-plan machinery with
   /// none of its optimizations — equivalence tests replay it against the
-  /// specialized program. (The abl_* benches' "generic" variant goes
-  /// further and bypasses SimProgram entirely via sv_compile_plan=false.)
+  /// specialized program. (The per-gate StatevectorSimulator::apply path
+  /// is the reference beneath it, used only by tests.)
   static PlanOptions generic() {
     PlanOptions o;
     o.diagonal_kernels = false;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -496,6 +497,39 @@ TEST(EvalService, JobPriorityOrdersWithinOneClient) {
   (void)service.collect(tickets);
   EXPECT_LT(tickets[2].finished_at(), tickets[0].finished_at());
   EXPECT_LT(tickets[2].finished_at(), tickets[1].finished_at());
+}
+
+TEST(EvalService, JobPriorityExtremesOrderWithinOneClient) {
+  // The queue orders the int priority itself, so the extremes of the range
+  // (INT_MIN has no negation) still run highest first.
+  const auto blocker_graph = test_graph(65, 10, 3);
+  const auto g = test_graph(66);
+  const auto cohort = search::all_combinations(
+      search::GateAlphabet::standard(), 1, search::CombinationMode::Product);
+  SessionConfig session = fast_session();
+  session.workers = 1;
+  search::EvalService service(session);
+
+  search::JobOptions heavy;
+  heavy.training_evals = 500;
+  auto blocker =
+      service.submit(blocker_graph, qaoa::MixerSpec::baseline(), 2, heavy);
+
+  auto client = service.register_client("extremes", 1.0);
+  const int priorities[] = {std::numeric_limits<int>::min(), 0,
+                            std::numeric_limits<int>::max()};
+  std::vector<search::EvalTicket> tickets;
+  for (std::size_t i = 0; i < 3; ++i) {
+    search::JobOptions job;
+    job.training_evals = 40;
+    job.client = client.id();
+    job.priority = priorities[i];
+    tickets.push_back(service.submit(g, cohort[i], 1, job));
+  }
+  (void)blocker.wait();
+  (void)service.collect(tickets);
+  EXPECT_LT(tickets[2].finished_at(), tickets[1].finished_at());
+  EXPECT_LT(tickets[1].finished_at(), tickets[0].finished_at());
 }
 
 TEST(EvalService, RegisterClientRejectsBadWeights) {
@@ -1023,12 +1057,9 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   s.training_evals = 77;
   s.simplify_circuit = false;
   // Deep engine toggles only reachable through the escape hatch:
-  s.base.energy.sv_compile_plan = false;
-  s.base.energy.sv_batch_expectations = false;
   s.base.energy.sv_plan.simd = false;
   s.base.energy.sv_plan.phase_tables = false;
   s.base.energy.sv_plan.fuse_single_qubit = false;
-  s.base.energy.qtensor.compile_programs = false;
   s.base.energy.qtensor.slice_above_width = 20;
   s.base.energy.qtensor.random_restarts = 3;
   s.base.energy.plan_cache_capacity = 2;
@@ -1045,12 +1076,9 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   EXPECT_EQ(opt.cobyla.max_evals, 33u);
   EXPECT_FALSE(opt.simplify_circuit);
   // ...but every deep toggle must survive the merge untouched.
-  EXPECT_FALSE(opt.energy.sv_compile_plan);
-  EXPECT_FALSE(opt.energy.sv_batch_expectations);
   EXPECT_FALSE(opt.energy.sv_plan.simd);
   EXPECT_FALSE(opt.energy.sv_plan.phase_tables);
   EXPECT_FALSE(opt.energy.sv_plan.fuse_single_qubit);
-  EXPECT_FALSE(opt.energy.qtensor.compile_programs);
   EXPECT_EQ(opt.energy.qtensor.slice_above_width, 20u);
   EXPECT_EQ(opt.energy.qtensor.random_restarts, 3u);
   EXPECT_EQ(opt.energy.plan_cache_capacity, 2u);
@@ -1063,7 +1091,6 @@ TEST(SessionConfig, BaseDeepTogglesSurviveReconciliation) {
   // The same toggles survive through energy_options(); with the evaluator
   // NOT pre-simplifying, the plan-level presimplify keeps base's value.
   const auto en = s.energy_options(qaoa::EngineKind::Statevector);
-  EXPECT_FALSE(en.sv_compile_plan);
   EXPECT_FALSE(en.sv_plan.simd);
   EXPECT_TRUE(en.sv_plan.presimplify);
 

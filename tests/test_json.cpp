@@ -88,6 +88,16 @@ TEST(Json, RoundTripPreservesNumbers) {
   }
 }
 
+TEST(Json, NumbersBeyondIntegerRangeDumpWithoutConversion) {
+  // Integral doubles outside long long's range must not be cast to it.
+  for (double x : {1e20, -1e20, 9.3e18, 1e300}) {
+    const Value v = json::parse(Value(x).dump());
+    EXPECT_EQ(v.as_number(), x);
+  }
+  EXPECT_EQ(Value(-0.0).dump(), "0");
+  EXPECT_EQ(Value(999999999999999.0).dump(), "999999999999999");
+}
+
 TEST(Json, ParseErrorsAreDescriptive) {
   for (const char* bad :
        {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "{'a':1}",

@@ -175,29 +175,24 @@ TEST(Backend, ProductIntoMatchesProduct) {
   const Tensor t2 = random_tensor({2, 3});
   const std::vector<VarId> out_labels = {3, 0, 1, 2};
   const qtensor::SerialCpuBackend serial;
-  const qtensor::ParallelCpuBackend par(4, /*parallel_threshold_rank=*/0);
   const Tensor expected = serial.product({&t1, &t2}, out_labels);
   // The fused kernel must equal "materialize the product, then fold the
   // first (eliminated) variable" exactly.
   const Tensor folded = expected.sum_over(out_labels[0]);
-  for (const qtensor::Backend* b :
-       {static_cast<const qtensor::Backend*>(&serial),
-        static_cast<const qtensor::Backend*>(&par)}) {
-    std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
-    b->product_into({&t1, &t2}, out_labels, out.data());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12) << b->name();
+  std::vector<cplx> out(expected.size(), cplx{9.0, 9.0});
+  serial.product_into({&t1, &t2}, out_labels, out.data());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_LT(std::abs(out[i] - expected.data()[i]), 1e-12);
 
-    std::vector<cplx> summed(folded.size(), cplx{9.0, 9.0});
-    b->product_sum_into({&t1, &t2}, out_labels, summed.data());
-    for (std::size_t i = 0; i < summed.size(); ++i)
-      EXPECT_LT(std::abs(summed[i] - folded.data()[i]), 1e-12) << b->name();
-  }
+  std::vector<cplx> summed(folded.size(), cplx{9.0, 9.0});
+  serial.product_sum_into({&t1, &t2}, out_labels, summed.data());
+  for (std::size_t i = 0; i < summed.size(); ++i)
+    EXPECT_LT(std::abs(summed[i] - folded.data()[i]), 1e-12);
 }
 
 // ---------------------------------------------------------------------------
 // Randomized statevector-vs-qtensor ENERGY equivalence across mixers, graph
-// families, and p — compiled and legacy tensor-network paths.
+// families, and p.
 // ---------------------------------------------------------------------------
 
 struct EnergyCase {
@@ -224,19 +219,13 @@ TEST_P(EnergyEquivalence, AllEnginesAgreeAcrossGraphFamiliesAndDepth) {
       sv.engine = qaoa::EngineKind::Statevector;
       qaoa::EnergyOptions tn_compiled;
       tn_compiled.engine = qaoa::EngineKind::TensorNetwork;
-      qaoa::EnergyOptions tn_legacy = tn_compiled;
-      tn_legacy.qtensor.compile_programs = false;
 
       const qaoa::EnergyEvaluator ev_sv(g, sv);
       const qaoa::EnergyEvaluator ev_c(g, tn_compiled);
-      const qaoa::EnergyEvaluator ev_l(g, tn_legacy);
 
       const double e_sv = ev_sv.energy(ansatz, theta);
       const double e_c = ev_c.energy(ansatz, theta);
-      const double e_l = ev_l.energy(ansatz, theta);
       EXPECT_NEAR(e_c, e_sv, 1e-8)
-          << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
-      EXPECT_NEAR(e_l, e_sv, 1e-8)
           << GetParam().name << " n=" << g.num_vertices() << " p=" << p;
 
       // Per-term expectations must agree index-by-index too.
@@ -346,7 +335,7 @@ TEST(ShapeDedup, RegularGraphSharesPrograms) {
   EXPECT_GE(info.compiled_programs, 1u);
 }
 
-TEST(ShapeDedup, DedupOffCompilesPerEdgeAndAgrees) {
+TEST(ShapeDedup, DedupedTermsMatchOneShotOracle) {
   Rng rng(89);
   const auto g = graph::random_regular(8, 3, rng);
   const auto ansatz = qaoa::build_qaoa_circuit(g, 1, qaoa::MixerSpec::qnas());
@@ -354,24 +343,24 @@ TEST(ShapeDedup, DedupOffCompilesPerEdgeAndAgrees) {
 
   qaoa::EnergyOptions on;
   on.engine = qaoa::EngineKind::TensorNetwork;
-  qaoa::EnergyOptions off = on;
-  off.qtensor.dedup_shapes = false;
-
   const qaoa::EnergyEvaluator ev_on(g, on);
-  const qaoa::EnergyEvaluator ev_off(g, off);
   const auto plan_on = ev_on.plan_for(ansatz);
-  const auto plan_off = ev_off.plan_for(ansatz);
 
-  // The ablation path compiles one program per edge; dedup compiles one per
-  // shape class. Both evaluate to the same energy and per-term values.
-  EXPECT_EQ(plan_off->info().compiled_programs, g.num_edges());
+  // Dedup compiles one program per shape class and broadcasts its value;
+  // every term must still equal its own edge's one-shot contraction.
   EXPECT_LE(plan_on->info().compiled_programs, g.num_edges());
-  EXPECT_NEAR(plan_on->energy(theta), plan_off->energy(theta), 1e-9);
+  const qtensor::QTensorSimulator oracle;
+  const auto& terms = ev_on.hamiltonian().terms();
   const auto zz_on = plan_on->zz_expectations(theta);
-  const auto zz_off = plan_off->zz_expectations(theta);
-  ASSERT_EQ(zz_on.size(), zz_off.size());
-  for (std::size_t k = 0; k < zz_on.size(); ++k)
-    EXPECT_NEAR(zz_on[k], zz_off[k], 1e-9) << "term " << k;
+  ASSERT_EQ(zz_on.size(), terms.size());
+  std::vector<double> zz_oracle;
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    zz_oracle.push_back(
+        oracle.expectation_zz(ansatz, theta, terms[k].u, terms[k].v));
+    EXPECT_NEAR(zz_on[k], zz_oracle[k], 1e-9) << "term " << k;
+  }
+  EXPECT_NEAR(plan_on->energy(theta), ev_on.hamiltonian().energy(zz_oracle),
+              1e-9);
 }
 
 TEST(PlanReuse, MultistartRestartsShareOneCompilation) {

@@ -1,5 +1,5 @@
 // The compiled query subsystem (src/query): amplitude programs vs the
-// statevector and the legacy one-shot qtensor path, batched amplitude
+// statevector and the one-shot QTensorSimulator oracle, batched amplitude
 // slices, reduced-density-matrix marginals, direct tensor-network sampling
 // (a golden draw stream, determinism per seed, agreement in distribution
 // with the statevector engine), and the shared-plan-cache warm-replay probe.
@@ -61,16 +61,14 @@ std::vector<Instance> test_instances(Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Amplitudes: compiled program vs statevector vs the legacy one-shot path.
+// Amplitudes: compiled program vs statevector vs the one-shot oracle.
 // ---------------------------------------------------------------------------
 
-TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
+TEST(AmplitudeProgram, MatchesStatevectorAndOneShotOracle) {
   Rng rng(101);
   const sim::StatevectorSimulator sv;
   const qtensor::SerialCpuBackend backend;
-  qtensor::QTensorOptions legacy_opts;
-  legacy_opts.compile_programs = false;  // the pre-query rebuild-per-call path
-  const qtensor::QTensorSimulator legacy(legacy_opts);
+  const qtensor::QTensorSimulator one_shot_oracle;  // rebuilds every call
 
   for (Instance& inst : test_instances(rng)) {
     const circuit::Circuit ansatz =
@@ -84,7 +82,7 @@ TEST(AmplitudeProgram, MatchesStatevectorAndLegacyPath) {
         const std::size_t basis = rng.uniform_int(std::size_t{1} << n);
         const std::vector<int> bits = bits_of(basis, n);
         const cplx compiled = program.amplitude(theta, bits, backend);
-        const cplx one_shot = legacy.amplitude(ansatz, theta, bits);
+        const cplx one_shot = one_shot_oracle.amplitude(ansatz, theta, bits);
         EXPECT_NEAR(compiled.real(), psi[basis].real(), 1e-8);
         EXPECT_NEAR(compiled.imag(), psi[basis].imag(), 1e-8);
         EXPECT_NEAR(compiled.real(), one_shot.real(), 1e-8);
@@ -204,10 +202,9 @@ TEST(MarginalProgram, MatchesStatevectorPartialTrace) {
 // Sampling: exact probabilities, per-seed determinism, distributions.
 // ---------------------------------------------------------------------------
 
-query::SamplerOptions tn_sampler_options(const std::string& backend_spec) {
+query::SamplerOptions tn_sampler_options() {
   query::SamplerOptions so;
   so.engine = query::SamplerEngine::TensorNetwork;
-  so.tn_backend = backend_spec;
   return so;
 }
 
@@ -221,7 +218,7 @@ TEST(Sampler, ProbabilityMatchesStatevector) {
 
   query::SamplerOptions sv_opts;  // statevector engine default
   const query::Sampler sv_sampler(ansatz, sv_opts);
-  const query::Sampler tn_sampler(ansatz, tn_sampler_options("serial"));
+  const query::Sampler tn_sampler(ansatz, tn_sampler_options());
   ASSERT_EQ(sv_sampler.engine(), query::SamplerEngine::Statevector);
   ASSERT_EQ(tn_sampler.engine(), query::SamplerEngine::TensorNetwork);
 
@@ -243,12 +240,12 @@ TEST(Sampler, SeededDrawsAreDeterministicAcrossWorkerCounts) {
   const auto theta = random_theta(ansatz.num_params(), rng);
   const std::size_t shots = 64;
 
-  // Tensor-network engine: serial vs parallel backend, same seed.
-  const query::Sampler tn_serial(ansatz, tn_sampler_options("serial"));
-  const query::Sampler tn_parallel(ansatz, tn_sampler_options("parallel:3"));
+  // Tensor-network engine: two samplers compiled from the same ansatz.
+  const query::Sampler tn_serial(ansatz, tn_sampler_options());
+  const query::Sampler tn_twin(ansatz, tn_sampler_options());
   Rng r1(99), r2(99);
   const auto a = tn_serial.sample(theta, shots, r1);
-  const auto b = tn_parallel.sample(theta, shots, r2);
+  const auto b = tn_twin.sample(theta, shots, r2);
   EXPECT_EQ(a, b);
 
   // Statevector engine: 1 vs 4 replay workers, same seed.
@@ -275,7 +272,7 @@ TEST(Sampler, EnginesAgreeInDistribution) {
   const std::size_t n = g.num_vertices();
   const auto theta = random_theta(ansatz.num_params(), rng);
 
-  const query::Sampler tn(ansatz, tn_sampler_options("serial"));
+  const query::Sampler tn(ansatz, tn_sampler_options());
   const std::size_t shots = 4000;
   Rng draw(7);
   const auto samples = tn.sample(theta, shots, draw);
@@ -302,7 +299,7 @@ TEST(Sampler, TensorNetworkDrawsMatchGoldenStream) {
   const circuit::Circuit ansatz =
       qaoa::build_qaoa_circuit(g, 2, qaoa::MixerSpec::parse("rx"));
   const auto theta = random_theta(ansatz.num_params(), rng);
-  const query::Sampler tn(ansatz, tn_sampler_options("serial"));
+  const query::Sampler tn(ansatz, tn_sampler_options());
   const std::vector<std::size_t> golden = {
       27, 179, 35, 51, 178, 82, 108, 84, 141, 23, 168, 221, 212, 105, 178, 61,
       22, 153, 194, 108, 152, 92, 68, 110, 120, 5, 131, 81, 133, 146, 234, 131,
@@ -361,7 +358,7 @@ TEST(Sampler, SingleQubitTensorNetworkMatchesStatevector) {
   circuit::Circuit ansatz(1, 1);
   ansatz.ry(0, circuit::ParamExpr::symbol(0));
   const std::vector<double> theta = {0.7};
-  const query::Sampler tn(ansatz, tn_sampler_options("serial"));
+  const query::Sampler tn(ansatz, tn_sampler_options());
   const query::Sampler sv(ansatz, query::SamplerOptions{});
   EXPECT_NEAR(tn.probability(theta, 0), sv.probability(theta, 0), 1e-12);
 

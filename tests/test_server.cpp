@@ -436,6 +436,52 @@ TEST(QarchServer, SampleRejectsMalformedRequests) {
   EXPECT_EQ(api_status(alice, "POST", "/v1/sample", too_many.dump()), 400);
 }
 
+TEST(QarchServer, PriorityAndDepthAreBoundedIntegers) {
+  QarchServer server(base_config());
+  server.start();
+  QarchClient alice = make_client(server, "key-a");
+  const auto submit_status = [&](const json::Value& body) {
+    return api_status(alice, "POST", "/v1/submit", body.dump());
+  };
+
+  // "priority": an integer in [-kMaxPriority, kMaxPriority]. Anything else
+  // is refused before it reaches a float-to-int conversion.
+  for (const double bad : {1e20, -1e20, 1.5,
+                           static_cast<double>(server::kMaxPriority) + 1.0,
+                           -static_cast<double>(server::kMaxPriority) - 1.0}) {
+    json::Value body = ring_body();
+    body.set("priority", bad);
+    EXPECT_EQ(submit_status(body), 400) << "priority " << bad;
+  }
+  for (const int ok : {server::kMaxPriority, -server::kMaxPriority}) {
+    json::Value body = ring_body(4, ok > 0 ? "rx" : "ry");
+    body.set("priority", ok);
+    EXPECT_EQ(submit_status(body), 200) << "priority " << ok;
+  }
+
+  // "p": in [1, kMaxDepth] on both endpoints, checked before the ansatz is
+  // built (p = 1e9 on complete n=32 would append ~5e11 gates).
+  json::Value complete = json::Value::object();
+  complete.set("name", "complete");
+  complete.set("n", 32);
+  for (const double bad_p :
+       {0.0, static_cast<double>(server::kMaxDepth) + 1.0, 1e9}) {
+    json::Value submit = ring_body();
+    submit.set("generator", complete);
+    submit.set("p", bad_p);
+    EXPECT_EQ(submit_status(submit), 400) << "submit p " << bad_p;
+
+    json::Value sample = json::parse(submit.dump());
+    json::Value theta = json::Value::array();
+    theta.push_back(0.1);
+    theta.push_back(0.2);
+    sample.set("theta", std::move(theta));
+    sample.set("shots", 4);
+    EXPECT_EQ(api_status(alice, "POST", "/v1/sample", sample.dump()), 400)
+        << "sample p " << bad_p;
+  }
+}
+
 TEST(QarchServer, ObjectiveSubmitMatchesDirectServiceBitForBit) {
   const auto g = test_graph(37);
   ServerConfig config = base_config();

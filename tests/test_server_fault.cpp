@@ -203,7 +203,11 @@ TEST(QarchServerFault, MidResponseKillThenRestartConverges) {
       config.tenants = {TenantSpec{.name = "t", .api_key = "k"}};
       QarchServer daemon(config);
       daemon.start();
-      { std::ofstream(port_file) << daemon.port(); }
+      // Write-then-rename: the parent polls for the file's existence, so it
+      // must never see the file before the port number is in it.
+      const std::string tmp = std::string(port_file) + ".tmp";
+      { std::ofstream(tmp) << daemon.port(); }
+      std::rename(tmp.c_str(), port_file);
       while (!std::ifstream(done_file).good())
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       daemon.stop(10.0);

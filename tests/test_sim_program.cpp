@@ -251,7 +251,7 @@ TEST(BatchedZZ, OneSweepTotalVersusOnePerEdge) {
   EXPECT_EQ(zz.size(), pairs.size());
 }
 
-TEST(EnergyPlan, CompiledStatevectorPlanMatchesLegacyPath) {
+TEST(EnergyPlan, CompiledStatevectorPlanMatchesPerGateOracle) {
   Rng rng(606);
   const auto g = graph::random_regular(8, 3, rng);
 
@@ -260,23 +260,22 @@ TEST(EnergyPlan, CompiledStatevectorPlanMatchesLegacyPath) {
   compiled.inner_workers = 4;
   compiled.sv_plan.parallel_threshold_qubits = 2;  // exercise threading
 
-  qaoa::EnergyOptions legacy;
-  legacy.engine = qaoa::EngineKind::Statevector;
-  legacy.sv_compile_plan = false;
-  legacy.sv_batch_expectations = false;
-
+  // Oracle: per-gate StatevectorSimulator::apply, one state pass per edge.
+  const sim::StatevectorSimulator oracle;
   const qaoa::EnergyEvaluator fast(g, compiled);
-  const qaoa::EnergyEvaluator slow(g, legacy);
   for (const std::size_t p : {std::size_t{1}, std::size_t{2}}) {
     const auto ansatz = qaoa::build_qaoa_circuit(g, p, qaoa::MixerSpec::qnas());
     const auto fast_plan = fast.make_plan(ansatz);
-    const auto slow_plan = slow.make_plan(ansatz);
     for (int rep = 0; rep < 4; ++rep) {
       std::vector<double> theta(ansatz.num_params());
       for (auto& t : theta) t = rng.uniform(-2.0, 2.0);
-      EXPECT_NEAR(fast_plan->energy(theta), slow_plan->energy(theta), 1e-10);
+      const sim::State psi = oracle.run_from_plus(ansatz, theta);
+      std::vector<double> sz;
+      for (const auto& t : fast.hamiltonian().terms())
+        sz.push_back(sim::expectation_zz(psi, t.u, t.v));
+      EXPECT_NEAR(fast_plan->energy(theta), fast.hamiltonian().energy(sz),
+                  1e-10);
       const auto fz = fast_plan->zz_expectations(theta);
-      const auto sz = slow_plan->zz_expectations(theta);
       ASSERT_EQ(fz.size(), sz.size());
       for (std::size_t k = 0; k < fz.size(); ++k)
         EXPECT_NEAR(fz[k], sz[k], 1e-10) << "term " << k;

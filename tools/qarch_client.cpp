@@ -76,8 +76,10 @@ Value submit_body_from_cli(const qarch::Cli& cli) {
   if (cli.has("budget"))
     body.set("budget", static_cast<std::size_t>(cli.get_int("budget", 0)));
   if (cli.has("engine")) body.set("engine", cli.get("engine", ""));
+  // Sent unnarrowed: the daemon owns the priority bound, and a client-side
+  // int cast would silently wrap an out-of-range value into an accepted one.
   if (cli.has("priority"))
-    body.set("priority", static_cast<int>(cli.get_int("priority", 0)));
+    body.set("priority", static_cast<double>(cli.get_int("priority", 0)));
   if (cli.has("deadline-ms"))
     body.set("deadline_ms", cli.get_double("deadline-ms", 0.0));
   return body;
